@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use fgqos_core::policy::MaxQuality;
 use fgqos_encoder::app::EncoderApp;
 use fgqos_graph::iterate::IterationMode;
-use fgqos_sim::app::{TableApp, VideoApp};
+use fgqos_sim::app::{ParallelApp, TableApp};
 use fgqos_sim::runner::{Mode, RunConfig, Runner};
 use fgqos_sim::runtime::VirtualClock;
 use fgqos_sim::scenario::LoadScenario;

@@ -8,7 +8,7 @@
 use fgqos_bench::ExpConfig;
 use fgqos_core::estimator::{AvgEstimator, EwmaEstimator, WindowEstimator};
 use fgqos_core::policy::{Hysteresis, MaxQuality, QualityPolicy, Smooth, SoftDeadline};
-use fgqos_sim::app::{TableApp, VideoApp};
+use fgqos_sim::app::{ParallelApp, TableApp};
 use fgqos_sim::exec::StochasticLoad;
 use fgqos_sim::runner::{DeadlineShape, Mode, Runner};
 

@@ -30,7 +30,7 @@ use fgqos_serve::{
     stochastic_backends, table_apps, Broadcast, Delivery, EncodedFrame, PacedSource, RingConfig,
     ServerConfig, StreamSpec, TablesMode,
 };
-use fgqos_sim::app::{TableApp, VideoApp};
+use fgqos_sim::app::{ParallelApp, TableApp};
 use fgqos_sim::budget::{BudgetSpec, ChannelParams, ChannelSource};
 use fgqos_sim::exec::{Deterministic, StochasticLoad};
 use fgqos_sim::runner::{Mode, RunConfig, Runner, StreamResult};

@@ -6,14 +6,9 @@
 //! ≥ 4 cores. Also cross-checks the isolation contract: every served
 //! stream's series must be byte-identical to its solo run.
 //!
-//! Two further gates ride on the same run:
-//!
-//! * **resident vs scoped** — an 8-stream pixel workload served on the
-//!   persistent resident pool must not be slower than the same workload
-//!   on the scoped spawn-per-job pool (the pre-refactor baseline);
-//! * **churn determinism** — the seeded churn storm must produce
-//!   byte-identical admission logs and stream results at 1 and 4
-//!   workers.
+//! A further gate rides on the same run: **churn determinism** — the
+//! seeded churn storm must produce byte-identical admission logs and
+//! stream results at 1 and 4 workers.
 //!
 //! Usage: `serve_smoke [out_dir]` (default `.`). Exit code 1 on gate
 //! failure, isolation violation, or churn divergence.
@@ -23,7 +18,7 @@ use std::time::{Duration, Instant};
 use fgqos_core::policy::MaxQuality;
 use fgqos_encoder::app::EncoderApp;
 use fgqos_graph::iterate::IterationMode;
-use fgqos_serve::{ChurnStorm, PacedSource, PoolMode, ServeReport, ServerConfig, StreamSpec};
+use fgqos_serve::{ChurnStorm, PacedSource, ServeReport, ServerConfig, StreamSpec};
 use fgqos_sim::app::TableApp;
 use fgqos_sim::exec::StochasticLoad;
 use fgqos_sim::runner::{Mode, RunConfig, Runner, StreamResult};
@@ -132,58 +127,6 @@ fn fps(frames: usize, d: Duration) -> f64 {
     frames as f64 / d.as_secs_f64().max(1e-9)
 }
 
-/// Pool-pricing workload: many small-frame pixel streams, so per-tick
-/// kernel work is light and the pool's fixed costs (thread spawns for
-/// the scoped baseline, wakeups for the resident pool) dominate.
-const POOL_STREAMS: usize = 8;
-const POOL_W: usize = 48;
-const POOL_H: usize = 32;
-const POOL_FRAMES: usize = 25;
-
-/// Best-of-`REPS` wall time of serving the 8-stream pixel workload,
-/// on the resident pool or on the scoped spawn-per-job baseline.
-/// Results are byte-identical either way; only the pool's ownership
-/// model differs.
-fn time_pool(workers: usize, scoped: bool) -> Duration {
-    let mb = (POOL_W / 16) * (POOL_H / 16);
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let pool = if scoped {
-            PoolMode::Scoped
-        } else {
-            PoolMode::Resident
-        };
-        let server = ServerConfig::new(workers).capacity(1e6).pool(pool).build();
-        let specs: Vec<StreamSpec> = (0..POOL_STREAMS)
-            .map(|i| {
-                StreamSpec::builder(format!("p{i}"))
-                    .priority(1)
-                    .seed(seed(i))
-                    .config(
-                        RunConfig::paper_defaults()
-                            .scaled_to_macroblocks(mb)
-                            .with_iteration_mode(IterationMode::Pipelined),
-                    )
-                    .source(PacedSource::new(
-                        LoadScenario::paper_benchmark(80 + i as u64).truncated(POOL_FRAMES),
-                    ))
-                    .build()
-            })
-            .collect();
-        let start = Instant::now();
-        let report = server
-            .serve(
-                specs,
-                |scn, spec| EncoderApp::new(scn, POOL_W, POOL_H, spec.seed),
-                |spec| Box::new(EncoderApp::work_backend(spec.seed)),
-            )
-            .expect("pool-pricing serve");
-        best = best.min(start.elapsed());
-        assert!(report.all_safe(), "pool-pricing streams must stay safe");
-    }
-    best
-}
-
 /// Runs the seeded churn storm (timing-only streams, virtual clocks) at
 /// `workers` workers: attaches, mid-life detaches, re-admissions.
 fn run_churn(workers: usize) -> (usize, ServeReport) {
@@ -239,13 +182,6 @@ fn main() {
     let gate_enforced = cores >= 4;
     let gate_pass = !gate_enforced || speedup >= 1.0;
 
-    // Resident pool vs scoped spawn-per-job baseline on the 8-stream
-    // pixel workload.
-    let t_resident = time_pool(workers, false);
-    let t_scoped = time_pool(workers, true);
-    let pool_speedup = t_scoped.as_secs_f64() / t_resident.as_secs_f64().max(1e-9);
-    let pool_gate_pass = !gate_enforced || pool_speedup >= 1.0;
-
     // Churn determinism: the storm replayed at 1 and 4 workers.
     let (churn_events, churn_ref) = run_churn(1);
     let (_, churn_wide) = run_churn(workers);
@@ -275,17 +211,12 @@ fn main() {
          \"speedup_shared_vs_sequential\": {speedup:.3},\n  \
          \"isolation_byte_identical\": {isolated},\n  \
          \"streams\": [\n{streams}  ],\n  \
-         \"pool\": {{\"workload\": \"{POOL_STREAMS} pixel streams {POOL_W}x{POOL_H}, {POOL_FRAMES} frames each\", \
-\"resident_wall_ms\": {:.3}, \"scoped_wall_ms\": {:.3}, \"speedup_resident_vs_scoped\": {pool_speedup:.3}, \
-\"gate\": {{\"enforced\": {gate_enforced}, \"pass\": {pool_gate_pass}}}}},\n  \
          \"churn\": {{\"events\": {churn_events}, \"ticks\": {}, \"deterministic\": {churn_deterministic}}},\n  \
          \"gate\": {{\"enforced\": {gate_enforced}, \"pass\": {gate_pass}}}\n}}\n",
         t_seq.as_secs_f64() * 1e3,
         fps(total_frames, t_seq),
         t_shared.as_secs_f64() * 1e3,
         fps(total_frames, t_shared),
-        t_resident.as_secs_f64() * 1e3,
-        t_scoped.as_secs_f64() * 1e3,
         churn_ref.ticks(),
     );
 
@@ -305,13 +236,6 @@ fn main() {
     }
     if !churn_deterministic {
         eprintln!("FAIL: churn storm diverged between 1 and {workers} workers");
-        std::process::exit(1);
-    }
-    if !pool_gate_pass {
-        eprintln!(
-            "FAIL: resident pool slower than scoped spawn-per-job baseline \
-             (speedup {pool_speedup:.3}) on a {cores}-core host"
-        );
         std::process::exit(1);
     }
     if !gate_enforced {

@@ -1,5 +1,5 @@
 //! [`EncoderApp`]: the pixel-level encoder as a controllable
-//! [`VideoApp`].
+//! [`ParallelApp`].
 //!
 //! Each macroblock runs the nine Fig. 2 actions in the controller's EDF
 //! order. The app carries real codec state (reference frame,
@@ -10,8 +10,8 @@
 //! # Parallel structure
 //!
 //! The per-macroblock working state lives in one lock per macroblock
-//! ([`MbState`]), and every action is split along the
-//! [`fgqos_sim::runtime::ParallelApp`] contract:
+//! ([`MbState`]), and every action is split along the [`ParallelApp`]
+//! contract:
 //!
 //! * [`ParallelApp::kernel`] — the pure signal processing, `&self` only:
 //!   reads the frame-constant source/reference/QP, its own macroblock
@@ -42,9 +42,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fgqos_core::CycleReport;
 use fgqos_graph::{ActionId, PrecedenceGraph};
-use fgqos_sim::app::{fig2_body, fig2_profile, VideoApp};
+use fgqos_sim::app::{fig2_body, fig2_profile, ParallelApp};
 use fgqos_sim::output::EncodedFrame;
-use fgqos_sim::runtime::ParallelApp;
 use fgqos_sim::scenario::LoadScenario;
 use fgqos_sim::SimError;
 use fgqos_time::{fig5, Cycles, Quality, QualityProfile};
@@ -466,7 +465,7 @@ impl EncoderApp {
     }
 }
 
-impl VideoApp for EncoderApp {
+impl ParallelApp for EncoderApp {
     fn body(&self) -> &PrecedenceGraph {
         &self.body
     }
@@ -547,9 +546,7 @@ impl VideoApp for EncoderApp {
     fn stream_len(&self) -> usize {
         self.scenario.frames()
     }
-}
 
-impl ParallelApp for EncoderApp {
     type Snapshot = MbState;
 
     fn snapshot(&self, mb: usize) -> MbState {

@@ -29,7 +29,7 @@
 //! * [`timing`] — calibration of per-action work counts onto the Fig. 5
 //!   cycle tables (work-driven execution times);
 //! * [`psnr`] — quality measurement;
-//! * [`app`] — [`app::EncoderApp`], the [`fgqos_sim::app::VideoApp`]
+//! * [`app`] — [`app::EncoderApp`], the [`fgqos_sim::app::ParallelApp`]
 //!   implementation gluing it all to the controller and pipeline.
 
 #![forbid(unsafe_code)]

@@ -7,7 +7,7 @@ use fgqos_core::policy::{ConstantQuality, MaxQuality, QualityPolicy};
 use fgqos_encoder::app::EncoderApp;
 use fgqos_encoder::decoder::decode_frame;
 use fgqos_encoder::psnr::psnr;
-use fgqos_sim::app::VideoApp;
+use fgqos_sim::app::ParallelApp;
 use fgqos_sim::exec::WorkDriven;
 use fgqos_sim::runner::{Mode, RunConfig, Runner};
 use fgqos_sim::scenario::LoadScenario;

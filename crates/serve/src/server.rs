@@ -115,25 +115,6 @@ impl StreamSpec {
             source: None,
         }
     }
-
-    /// Builds a spec from five positional arguments.
-    #[deprecated(since = "0.2.0", note = "use `StreamSpec::builder(name)` instead")]
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        priority: u8,
-        seed: u64,
-        config: RunConfig,
-        source: Box<dyn FrameSource>,
-    ) -> Self {
-        StreamSpec {
-            name: name.into(),
-            priority,
-            seed,
-            config,
-            source,
-        }
-    }
 }
 
 /// Builder for [`StreamSpec`] — see [`StreamSpec::builder`].
@@ -451,17 +432,6 @@ impl ServeReport {
     }
 }
 
-/// Which worker-pool implementation a server runs its kernels on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PoolMode {
-    /// Resident parked workers, woken per tick (the production path).
-    #[default]
-    Resident,
-    /// Spawn-per-call scoped threads — the bench baseline the resident
-    /// pool is priced against. Results are byte-identical either way.
-    Scoped,
-}
-
 /// Which constraint-table path every served stream's runner uses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TablesMode {
@@ -474,14 +444,11 @@ pub enum TablesMode {
     Legacy,
 }
 
-/// Typed construction of a [`StreamServer`] — replaces the old
-/// `new`/`with_capacity` split and the `set_scoped_pool` /
-/// `set_legacy_tables` boolean setters:
+/// Typed construction of a [`StreamServer`]:
 ///
 /// ```ignore
 /// let server = ServerConfig::new(8).capacity(6.5).build();
 /// let bench = ServerConfig {
-///     pool: PoolMode::Scoped,
 ///     tables: TablesMode::Legacy,
 ///     ..ServerConfig::new(4)
 /// }
@@ -489,13 +456,11 @@ pub enum TablesMode {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
-    /// Pool width (resident or scoped worker threads).
+    /// Pool width (resident worker threads, the caller included).
     pub workers: usize,
     /// Admission capacity in cores; `None` grants one core's worth of
     /// sustained demand per worker.
     pub capacity: Option<f64>,
-    /// Worker-pool implementation.
-    pub pool: PoolMode,
     /// Constraint-table path for every served stream.
     pub tables: TablesMode,
     /// Retention policy of per-stream output rings (used only when
@@ -574,7 +539,6 @@ impl ServerConfig {
         ServerConfig {
             workers,
             capacity: None,
-            pool: PoolMode::default(),
             tables: TablesMode::default(),
             ring: RingConfig::default(),
             telemetry: false,
@@ -587,13 +551,6 @@ impl ServerConfig {
     #[must_use]
     pub fn capacity(mut self, cores: f64) -> Self {
         self.capacity = Some(cores);
-        self
-    }
-
-    /// Selects the worker-pool implementation.
-    #[must_use]
-    pub fn pool(mut self, pool: PoolMode) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -677,10 +634,7 @@ impl StreamServer {
         } else {
             Telemetry::disabled()
         };
-        let mut pool = match config.pool {
-            PoolMode::Resident => WorkStealingPool::new(config.workers),
-            PoolMode::Scoped => WorkStealingPool::scoped(config.workers),
-        };
+        let mut pool = WorkStealingPool::new(config.workers);
         pool.set_telemetry(&telemetry);
         StreamServer {
             pool,
@@ -693,54 +647,6 @@ impl StreamServer {
             feedback: config.feedback,
             telemetry,
         }
-    }
-
-    /// A server with `workers` resident pool threads and the matching
-    /// default capacity.
-    #[deprecated(since = "0.2.0", note = "use `ServerConfig::new(workers).build()`")]
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        StreamServer::with_config(ServerConfig::new(workers))
-    }
-
-    /// A server with an explicit admission capacity (in cores).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not finite and positive.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ServerConfig::new(workers).capacity(cores).build()`"
-    )]
-    #[must_use]
-    pub fn with_capacity(workers: usize, capacity: f64) -> Self {
-        StreamServer::with_config(ServerConfig::new(workers).capacity(capacity))
-    }
-
-    /// Replaces the resident pool with a scoped-spawn pool of the same
-    /// width (or back).
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct with `ServerConfig { pool: PoolMode::Scoped, .. }` instead"
-    )]
-    pub fn set_scoped_pool(&mut self, scoped: bool) {
-        let workers = self.pool.workers();
-        self.pool = if scoped {
-            WorkStealingPool::scoped(workers)
-        } else {
-            WorkStealingPool::new(workers)
-        };
-        self.pool.set_telemetry(&self.telemetry);
-    }
-
-    /// Forces every served stream onto the legacy per-budget constraint
-    /// tables instead of the budget-parametric envelopes.
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct with `ServerConfig { tables: TablesMode::Legacy, .. }` instead"
-    )]
-    pub fn set_legacy_tables(&mut self, on: bool) {
-        self.legacy_tables = on;
     }
 
     /// Pool width.
@@ -811,24 +717,6 @@ impl StreamServer {
         }
     }
 
-    /// Serves timing-only [`TableApp`] streams with the paper's
-    /// stochastic load model seeded per stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`StreamServer::serve`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `serve(specs, table_apps(macroblocks), stochastic_backends())`"
-    )]
-    pub fn serve_tables(
-        &self,
-        specs: Vec<StreamSpec>,
-        macroblocks: usize,
-    ) -> Result<ServeReport, ServeError> {
-        self.serve(specs, table_apps(macroblocks), stochastic_backends())
-    }
-
     /// Serves a batch of streams to completion on the shared pool — a
     /// thin wrapper over [`StreamSession`]: attach the whole population
     /// up front (priced together, rank-ordered), run to completion, no
@@ -876,9 +764,8 @@ impl StreamServer {
     }
 }
 
-/// App factory for timing-only [`TableApp`] streams — what the one
-/// generic [`StreamServer::serve`] takes to cover the old
-/// `serve_tables` configuration:
+/// App factory for timing-only [`TableApp`] streams, for the generic
+/// [`StreamServer::serve`]:
 ///
 /// ```ignore
 /// server.serve(specs, table_apps(8), stochastic_backends())?
@@ -1990,44 +1877,6 @@ mod tests {
         assert_eq!(parked.result.as_ref().unwrap().frames().len(), 12);
         assert_eq!(report.admission().lifecycle().readmitted, 1);
         assert!(report.all_safe());
-    }
-
-    /// The deprecated constructor/setter/entry-point shims must keep old
-    /// call sites compiling and behaving identically for one release.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_compile_and_match_new_surface() {
-        let mut old = StreamServer::with_capacity(2, 64.0);
-        old.set_scoped_pool(false);
-        old.set_legacy_tables(false);
-        let old_spec = StreamSpec::new(
-            "a",
-            1,
-            3,
-            RunConfig::paper_defaults().scaled_to_macroblocks(8),
-            Box::new(PacedSource::new(
-                LoadScenario::paper_benchmark(3).truncated(10),
-            )),
-        );
-        let old_report = old.serve_tables(vec![old_spec], 8).unwrap();
-
-        let new = ServerConfig::new(2).capacity(64.0).build();
-        let new_report = new
-            .serve(
-                vec![spec("a", 1, 3, 10, 8)],
-                table_apps(8),
-                stochastic_backends(),
-            )
-            .unwrap();
-        let (o, n) = (
-            old_report.outcome("a").unwrap(),
-            new_report.outcome("a").unwrap(),
-        );
-        assert_eq!(
-            o.result.as_ref().unwrap().frames(),
-            n.result.as_ref().unwrap().frames()
-        );
-        assert!(StreamServer::new(2).workers() == 2);
     }
 
     /// Table apps have no bitstream: a subscriber on a table session

@@ -3,18 +3,50 @@
 
 use fgqos_core::CycleReport;
 use fgqos_graph::{ActionId, GraphBuilder, PrecedenceGraph};
-use fgqos_time::fig5;
-use fgqos_time::QualityProfile;
+use fgqos_time::{fig5, Cycles, Quality, QualityProfile};
 
+use crate::output::EncodedFrame;
 use crate::scenario::{LoadScenario, PsnrModel};
 use crate::SimError;
 
 /// A cyclic video application: one cycle encodes one frame as `N`
-/// iterations (macroblocks) of a body precedence graph.
+/// iterations (macroblocks) of a body precedence graph, each action
+/// split into a pure kernel and its sequential side effects.
 ///
 /// Implementations: [`TableApp`] (timing-only, this crate) and the
 /// pixel-level encoder in `fgqos-encoder`.
-pub trait VideoApp {
+///
+/// # Kernel contract
+///
+/// `run_action(a, mb, q)` **must** be observationally equivalent to
+/// `let w = kernel(a, mb, q); apply(a, mb); w` — the runner uses the
+/// split form on cache hits and the fused form on mis-speculation (and
+/// on sequential runs), and determinism rests on both paths performing
+/// identical state transitions (see [`crate::runtime::parallel`]).
+///
+/// [`ParallelApp::kernel`] takes `&self` and may be called from several
+/// worker threads at once; per-macroblock working state must live behind
+/// interior locks keyed by `mb` (see `fgqos-encoder`'s `EncoderApp`). A
+/// kernel may read only
+///
+/// * shared state that is constant for the duration of the frame (the
+///   source image, the previous reference frame, the frame QP),
+/// * its own macroblock's working state, and
+/// * working state written by instances it declared in
+///   [`ParallelApp::data_preds`] (or by same-iteration predecessors in
+///   the body graph).
+///
+/// Two structural rules keep the commit phase sound:
+///
+/// * **exact read sets** — [`ParallelApp::data_preds`] must cover every
+///   working-state read that is not a *direct* body-graph edge. Relying
+///   on transitive graph coverage is incorrect: output re-validation can
+///   confirm an intermediary while an input that bypasses it changed;
+/// * **single writer per field** — within one iteration, each
+///   working-state field may be written by exactly one action. Otherwise
+///   a re-executed early action could clobber the speculated output of a
+///   later action that commits from cache without rewriting its fields.
+pub trait ParallelApp: Sync {
     /// The per-macroblock body graph (the paper's Fig. 2).
     fn body(&self) -> &PrecedenceGraph;
 
@@ -43,7 +75,7 @@ pub trait VideoApp {
     /// carries a bandwidth trace — what
     /// [`crate::budget::BudgetSpec::Trace`] runs replay. `None` (the
     /// default) means the pipeline deadline applies alone.
-    fn budget_cycles(&self, _frame: usize) -> Option<fgqos_time::Cycles> {
+    fn budget_cycles(&self, _frame: usize) -> Option<Cycles> {
         None
     }
 
@@ -53,7 +85,7 @@ pub trait VideoApp {
     /// Performs the real work of `action` for macroblock `mb` at quality
     /// `q`; returns work units for work-driven timing (`None` when the
     /// app does not measure work).
-    fn run_action(&mut self, action: ActionId, mb: usize, q: fgqos_time::Quality) -> Option<u64>;
+    fn run_action(&mut self, action: ActionId, mb: usize, q: Quality) -> Option<u64>;
 
     /// PSNR (dB) of the encoded frame `f` against its source.
     ///
@@ -70,6 +102,66 @@ pub trait VideoApp {
 
     /// Total frames available from the camera.
     fn stream_len(&self) -> usize;
+
+    /// A comparable copy of one macroblock's working state, taken with
+    /// [`ParallelApp::snapshot`]. The runner uses it to *re-validate*
+    /// mis-speculated work: if re-executing an action reproduces exactly
+    /// the state the speculative phase left behind, every downstream
+    /// kernel read correct inputs and its cached result stays usable —
+    /// without this, one mis-speculated motion search would taint its
+    /// entire dependency cone and serialize the rest of the frame.
+    type Snapshot: PartialEq;
+
+    /// Copies macroblock `mb`'s working state for equality comparison
+    /// around a re-execution.
+    fn snapshot(&self, mb: usize) -> Self::Snapshot;
+
+    /// Direct *data* predecessors of the kernel for `(action, mb)` that
+    /// are not same-iteration body-graph edges: pairs of (producer body
+    /// action, producer iteration). Producer iterations must not exceed
+    /// `mb`, and same-iteration entries must precede `action` in the
+    /// body's EDF order.
+    fn data_preds(&self, action: ActionId, mb: usize) -> Vec<(ActionId, usize)> {
+        let _ = (action, mb);
+        Vec::new()
+    }
+
+    /// Fingerprint of the kernel's quality sensitivity: two qualities
+    /// with equal fingerprints must make `kernel(action, mb, ·)` produce
+    /// identical outputs (state writes and work units). Quality-blind
+    /// kernels return a constant — their speculation never misses.
+    fn kernel_class(&self, action: ActionId, mb: usize, q: Quality) -> u64 {
+        let _ = (action, mb, q);
+        0
+    }
+
+    /// The pure computation of one action instance; returns the work
+    /// units [`ParallelApp::run_action`] would report.
+    fn kernel(&self, action: ActionId, mb: usize, q: Quality) -> Option<u64>;
+
+    /// Applies the sequential side effects of a completed kernel (bit
+    /// accounting, reconstruction writes, ...). Called in static schedule
+    /// order with `&mut self`.
+    fn apply(&mut self, action: ActionId, mb: usize);
+
+    /// Takes the most recently committed frame's encoded payload for
+    /// zero-copy distribution, or `None` when the app produces no
+    /// bitstream (timing-only table apps) or the frame was already
+    /// taken.
+    ///
+    /// Called by the serving layer after each frame commit, *only* when
+    /// someone subscribed to the stream's output — apps without
+    /// consumers pay nothing. `timestamp` is the frame's completion
+    /// time on the caller's clock and `mean_quality` the mean committed
+    /// quality; the app supplies the content (index, keyframe flag,
+    /// payload) from its own state. Implementations must *move* their
+    /// finished buffers into the returned [`EncodedFrame`] (and return
+    /// `None` on a second call for the same frame) so publishing stays
+    /// copy-free.
+    fn encoded_output(&mut self, timestamp: Cycles, mean_quality: f64) -> Option<EncodedFrame> {
+        let _ = (timestamp, mean_quality);
+        None
+    }
 }
 
 /// Builds the paper's Fig. 2 macroblock pipeline as a precedence graph.
@@ -200,7 +292,11 @@ impl TableApp {
     }
 }
 
-impl VideoApp for TableApp {
+/// Timing-only actions do no work, so they trivially satisfy the
+/// kernel/apply contract: kernels are no-ops (quality-blind, class 0) and
+/// speculation never misses. This makes every fig6/fig8 table run
+/// exercisable through [`crate::runner::Runner::run_parallel_on`].
+impl ParallelApp for TableApp {
     fn body(&self) -> &PrecedenceGraph {
         &self.body
     }
@@ -225,18 +321,13 @@ impl VideoApp for TableApp {
         self.scenario.frame(frame).is_iframe
     }
 
-    fn budget_cycles(&self, frame: usize) -> Option<fgqos_time::Cycles> {
+    fn budget_cycles(&self, frame: usize) -> Option<Cycles> {
         self.scenario.frame(frame).budget_cycles
     }
 
     fn begin_frame(&mut self, _frame: usize) {}
 
-    fn run_action(
-        &mut self,
-        _action: ActionId,
-        _mb: usize,
-        _q: fgqos_time::Quality,
-    ) -> Option<u64> {
+    fn run_action(&mut self, _action: ActionId, _mb: usize, _q: Quality) -> Option<u64> {
         None
     }
 
@@ -253,18 +344,12 @@ impl VideoApp for TableApp {
     fn stream_len(&self) -> usize {
         self.scenario.frames()
     }
-}
 
-/// Timing-only actions do no work, so they trivially satisfy the
-/// kernel/apply contract: kernels are no-ops (quality-blind, class 0) and
-/// speculation never misses. This makes every fig6/fig8 table run
-/// exercisable through [`crate::runner::Runner::run_parallel_on`].
-impl crate::runtime::ParallelApp for TableApp {
     type Snapshot = ();
 
     fn snapshot(&self, _mb: usize) {}
 
-    fn kernel(&self, _action: ActionId, _mb: usize, _q: fgqos_time::Quality) -> Option<u64> {
+    fn kernel(&self, _action: ActionId, _mb: usize, _q: Quality) -> Option<u64> {
         None
     }
 

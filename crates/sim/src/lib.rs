@@ -12,9 +12,10 @@
 //!   frames with scene changes (forced I-frames) and per-frame activity
 //!   driving load fluctuation, plus an analytic PSNR model for runs
 //!   without a pixel-level encoder;
-//! * [`app`] — the [`app::VideoApp`] abstraction the runner drives, and
-//!   [`app::TableApp`], a timing-only application with the Fig. 2 pipeline
-//!   shape;
+//! * [`app`] — the [`app::ParallelApp`] abstraction the runner drives
+//!   (per-action kernels with separable side effects), and
+//!   [`app::TableApp`], a timing-only application with the Fig. 2
+//!   pipeline shape;
 //! * [`budget`] — per-frame budget sources ([`budget::BudgetSource`]):
 //!   constant pipeline deadlines, recorded bandwidth traces, or a seeded
 //!   simulated channel with cliffs/loss/RTT dynamics, so the controller
@@ -25,14 +26,17 @@
 //!   occupancy-dependent per-frame time budget (average `P`);
 //! * [`runtime`] — the pluggable runtime layer: the [`runtime::Clock`]
 //!   trait (deterministic [`runtime::VirtualClock`], calibrated
-//!   [`runtime::WallClock`]) and the [`runtime::ExecBackend`] seam
-//!   separating "execute action, report cost" from "decide quality";
+//!   [`runtime::WallClock`]), the [`runtime::ExecBackend`] seam
+//!   separating "execute action, report cost" from "decide quality", and
+//!   the resident [`runtime::WorkStealingPool`] that runs parallel
+//!   frames' kernels;
 //! * [`runner`] — end-to-end runs of a controlled or constant-quality
 //!   encoder over a stream, producing per-frame records
 //!   ([`runner::StreamResult`]) from which every figure of Section 3 is
-//!   regenerated; backend-generic via [`runner::Runner::run_on`], and
-//!   steppable frame by frame via [`runner::stepper`] (the seam the
-//!   `fgqos-serve` multi-stream server multiplexes on);
+//!   regenerated; backend-generic via [`runner::Runner::run_on`]. Every
+//!   run, sequential or parallel, steps one frame loop,
+//!   [`runner::stepper`] — the seam the `fgqos-serve` multi-stream
+//!   server multiplexes on too;
 //! * [`csv`] — plain-text series export for plotting, and the trace
 //!   parser behind [`scenario::LoadScenario::from_trace_csv`].
 //!

@@ -9,10 +9,13 @@
 //! ([`Runner::run`], [`Runner::run_controlled`], [`Runner::run_constant`])
 //! are the deterministic virtual-clock special case.
 //!
-//! For apps implementing the [`ParallelApp`] kernel/apply contract,
+//! Every run steps one frame loop ([`stepper`]): prepare the frame,
+//! optionally execute its kernels ahead of time, commit it in static EDF
+//! order. A sequential run skips the optional phase;
 //! [`Runner::run_parallel_on`] executes each frame's macroblock wavefront
-//! on a [`WorkStealingPool`] while reproducing the sequential timeline
-//! and quality decisions byte-for-byte (see [`crate::runtime::parallel`]).
+//! on a [`WorkStealingPool`] first, while reproducing the sequential
+//! timeline and quality decisions byte-for-byte (see
+//! [`crate::runtime::parallel`]).
 
 pub mod stepper;
 
@@ -21,7 +24,7 @@ use std::sync::Arc;
 
 use fgqos_core::estimator::AvgEstimator;
 use fgqos_core::policy::{ConstantQuality, QualityPolicy};
-use fgqos_core::{safety, ControllerMetrics, CycleController, Decision};
+use fgqos_core::{safety, ControllerMetrics, CycleController};
 use fgqos_graph::iterate::{IteratedGraph, IterationMode};
 use fgqos_graph::ActionId;
 use fgqos_sched::{
@@ -30,14 +33,12 @@ use fgqos_sched::{
 use fgqos_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use fgqos_time::{fig5, Cycles, DeadlineMap, Quality, QualityProfile, QualitySet};
 
-use crate::app::VideoApp;
+use crate::app::ParallelApp;
 use crate::budget::{BudgetSource, BudgetSpec, ChannelSource, TraceSource};
-use crate::exec::{ExecCtx, ExecTimeModel, StochasticLoad};
+use crate::exec::{ExecTimeModel, StochasticLoad};
 use crate::pipeline::InputPipeline;
 use crate::runtime::parallel::FramePlan;
-use crate::runtime::{
-    Clock, ExecBackend, ModelBackend, ParallelApp, VirtualClock, WorkStealingPool,
-};
+use crate::runtime::{Clock, ExecBackend, ModelBackend, VirtualClock, WorkStealingPool};
 use crate::SimError;
 
 pub use stepper::{ParallelStream, Phase1View};
@@ -281,13 +282,13 @@ impl StreamResult {
     }
 }
 
-/// Drives a [`VideoApp`] through the pipeline under a given encoder mode.
+/// Drives a [`ParallelApp`] through the pipeline under a given encoder mode.
 ///
 /// Construction unrolls the body graph once (`N` macroblocks), computes
 /// the static EDF body order once and replays it per frame — the
 /// "compositional generation of EDF schedules for iterative programs"
 /// optimization of Section 4.
-pub struct Runner<A: VideoApp> {
+pub struct Runner<A: ParallelApp> {
     app: A,
     config: RunConfig,
     /// Unrolled cycle graph (built once).
@@ -337,11 +338,11 @@ pub struct Runner<A: VideoApp> {
     envelope_refreshes: u64,
     /// Diagnostics/benchmark toggle: force the legacy per-budget path.
     legacy_tables: bool,
-    /// Kernel DAG for [`Runner::run_parallel_on`], built on first use
-    /// (static across frames).
-    parallel_plan: Option<Arc<FramePlan>>,
+    /// Phase-1 kernel DAG, built by the first
+    /// [`Runner::start_parallel`] (static across frames).
+    parallel_plan: Option<FramePlan>,
     /// Speculation seed: the quality committed at each unrolled instance
-    /// during the most recent parallel frame.
+    /// during the most recent frame.
     last_spec: Option<Vec<Quality>>,
     /// Parallel speculation diagnostics: kernels consumed from cache.
     spec_hits: u64,
@@ -406,7 +407,7 @@ impl RunnerMetrics {
 /// handful of recurring budgets per run).
 const TABLES_CACHE_CAP: usize = 8;
 
-impl<A: VideoApp> Runner<A> {
+impl<A: ParallelApp> Runner<A> {
     /// Prepares a runner: unrolls the body, validates shapes, computes
     /// the static schedule.
     ///
@@ -493,9 +494,9 @@ impl<A: VideoApp> Runner<A> {
         &self.monitor
     }
 
-    /// Speculation diagnostics of all [`Runner::run_parallel_on`] calls
-    /// so far: `(kernels consumed from the speculative phase, kernels
-    /// re-executed at commit)`. Both zero for purely sequential runs.
+    /// Speculation diagnostics of all runs so far: `(kernels consumed
+    /// from the speculative phase, kernels re-executed at commit)`. Both
+    /// zero for purely sequential runs.
     #[must_use]
     pub fn speculation(&self) -> (u64, u64) {
         (self.spec_hits, self.spec_misses)
@@ -622,7 +623,7 @@ impl<A: VideoApp> Runner<A> {
     /// Builds the live per-frame budget source this run will draw from
     /// (see [`crate::budget`]); one fresh source per run, so replays are
     /// deterministic. `Trace` snapshots the app's recorded budgets
-    /// ([`VideoApp::budget_cycles`]).
+    /// ([`ParallelApp::budget_cycles`]).
     fn make_budget_source(&self) -> BudgetSource {
         match self.config.budget {
             BudgetSpec::Constant => BudgetSource::Constant,
@@ -765,61 +766,99 @@ impl<A: VideoApp> Runner<A> {
         backend: &mut dyn ExecBackend,
         mode: Mode,
         policy: &mut dyn QualityPolicy,
-        mut estimator: Option<&mut dyn AvgEstimator>,
+        estimator: Option<&mut dyn AvgEstimator>,
     ) -> Result<StreamResult, SimError> {
-        let total = self.app.stream_len();
-        let mut pipe = InputPipeline::new(self.config.period, self.config.input_capacity, total)?;
-        let mut records: Vec<Option<FrameRecord>> = vec![None; total];
-        let qs = self.app.profile().qualities().clone();
-        // Declared profile: drives the controller's tables (and learns
-        // from the estimator). Generative profile: drives the execution
-        // time models. They coincide unless the app declares otherwise.
-        let mut body_profile = self.app.profile().clone();
-        let gen_profile = self.app.generative_profile().clone();
-        let mut source = self.make_budget_source();
-        let mut prev_budget: Option<Cycles> = None;
+        self.run_stepped(clock, backend, mode, policy, estimator, None)
+    }
 
-        while let Some((frame, arrival, now)) = self.next_frame(clock, &mut pipe, &mut records) {
-            let deadline_budget = match pipe.budget_deadline(now) {
-                Some(d) => d - now,
-                None => Cycles::INFINITY,
-            };
-            // The stream's budget source can only tighten the deadline
-            // (min semantics); the record keeps the sourced budget in
-            // both modes, so uncontrolled baselines expose how often
-            // they would have overrun the channel.
-            let budget = source.frame_budget(frame, deadline_budget);
-            self.observe_budget(budget, &mut prev_budget);
-            // Uncontrolled runs do not see deadlines at all.
-            let frame_budget = match mode {
-                Mode::Controlled => budget,
-                Mode::Constant => Cycles::INFINITY,
-            };
-            let tables =
-                self.prepare_frame(&mut estimator, &mut body_profile, &qs, frame_budget)?;
-            let mut ctl = CycleController::from_shared(tables, qs.clone());
+    /// Controlled parallel run on the deterministic virtual runtime —
+    /// [`Runner::run_controlled`] with `workers` threads executing each
+    /// frame's macroblock wavefront. Produces byte-identical results at
+    /// any worker count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates controller protocol and plan-validation errors.
+    pub fn run_parallel(
+        &mut self,
+        policy: &mut dyn QualityPolicy,
+        seed: u64,
+        workers: usize,
+    ) -> Result<StreamResult, SimError> {
+        let mut exec = StochasticLoad::new(seed);
+        let mut clock = VirtualClock::new();
+        let mut backend = ModelBackend::new(&mut exec);
+        self.run_parallel_on(
+            &mut clock,
+            &mut backend,
+            Mode::Controlled,
+            policy,
+            None,
+            workers,
+        )
+    }
 
-            self.app.begin_frame(frame);
-            policy.on_cycle_start();
-            let activity = self.app.activity(frame);
-            let t = drive_cycle(
-                &mut self.app,
-                &self.iter,
-                &mut ctl,
-                clock,
-                backend,
-                policy,
-                &mut estimator,
-                &gen_profile,
-                &body_profile,
-                activity,
-                now,
-                &mut |app, d, body_action, mb| app.run_action(body_action, mb, d.quality),
-            )?;
-            records[frame] =
-                Some(self.finish_frame(ctl, &body_profile, frame, now, arrival, budget, t));
+    /// Runs the full stream like [`Runner::run_on`], but executes each
+    /// frame's action kernels on a [`WorkStealingPool`] of `workers`
+    /// threads before replaying the controller loop sequentially.
+    ///
+    /// # Determinism contract
+    ///
+    /// On a [`VirtualClock`] with a [`ModelBackend`], the returned
+    /// [`StreamResult`] — every per-frame record, the safety monitor, the
+    /// quality decisions — is byte-identical to [`Runner::run_on`] for
+    /// *any* worker count, including 1. Speculatively computed kernels
+    /// are only consumed when their quality class matches the
+    /// controller's actual decision and all their data inputs were valid;
+    /// everything else is re-executed in schedule order (see
+    /// [`crate::runtime::parallel`]). On a wall clock the speedup is
+    /// real: the pixel math has already run concurrently, so the commit
+    /// loop is a cheap replay.
+    ///
+    /// # Errors
+    ///
+    /// Propagates controller protocol errors, and
+    /// [`SimError::InvalidConfig`] if the app declares inconsistent data
+    /// dependencies.
+    pub fn run_parallel_on(
+        &mut self,
+        clock: &mut dyn Clock,
+        backend: &mut dyn ExecBackend,
+        mode: Mode,
+        policy: &mut dyn QualityPolicy,
+        estimator: Option<&mut dyn AvgEstimator>,
+        workers: usize,
+    ) -> Result<StreamResult, SimError> {
+        let pool = WorkStealingPool::new(workers);
+        self.run_stepped(clock, backend, mode, policy, estimator, Some(&pool))
+    }
+
+    /// The whole-stream driver: the frame-stepping loop (see [`stepper`])
+    /// the multi-stream server drives too, so "served" and "alone" are
+    /// the same computation. With a pool, each frame's kernels run on it
+    /// speculatively first (phase 1); without one, the commit executes
+    /// every action in place.
+    fn run_stepped(
+        &mut self,
+        clock: &mut dyn Clock,
+        backend: &mut dyn ExecBackend,
+        mode: Mode,
+        policy: &mut dyn QualityPolicy,
+        mut estimator: Option<&mut dyn AvgEstimator>,
+        pool: Option<&WorkStealingPool>,
+    ) -> Result<StreamResult, SimError> {
+        let mut st = match pool {
+            Some(_) => self.start_parallel(mode)?,
+            None => self.start_stream(mode)?,
+        };
+        while self.next_parallel_frame(&mut st, clock, policy, &mut estimator)? {
+            if let Some(pool) = pool {
+                let view = self.parallel_kernels(&st).expect("frame just prepared");
+                pool.run_dag(view.indegree(), view.succs(), |i| view.run_kernel(i));
+            }
+            self.commit_parallel_frame(&mut st, clock, backend, policy, &mut estimator)?;
         }
-        Ok(self.collect_result(policy.name(), records))
+        Ok(self.finish_parallel(st, policy.name()))
     }
 
     /// Advances the pipeline to the next encodable frame: admits arrivals
@@ -1020,151 +1059,6 @@ impl<A: VideoApp> Runner<A> {
     }
 }
 
-impl<A: ParallelApp> Runner<A> {
-    /// Controlled parallel run on the deterministic virtual runtime —
-    /// [`Runner::run_controlled`] with `workers` threads executing each
-    /// frame's macroblock wavefront. Produces byte-identical results at
-    /// any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller protocol and plan-validation errors.
-    pub fn run_parallel(
-        &mut self,
-        policy: &mut dyn QualityPolicy,
-        seed: u64,
-        workers: usize,
-    ) -> Result<StreamResult, SimError> {
-        let mut exec = StochasticLoad::new(seed);
-        let mut clock = VirtualClock::new();
-        let mut backend = ModelBackend::new(&mut exec);
-        self.run_parallel_on(
-            &mut clock,
-            &mut backend,
-            Mode::Controlled,
-            policy,
-            None,
-            workers,
-        )
-    }
-
-    /// Runs the full stream like [`Runner::run_on`], but executes each
-    /// frame's action kernels on a [`WorkStealingPool`] of `workers`
-    /// threads before replaying the controller loop sequentially.
-    ///
-    /// # Determinism contract
-    ///
-    /// On a [`VirtualClock`] with a [`ModelBackend`], the returned
-    /// [`StreamResult`] — every per-frame record, the safety monitor, the
-    /// quality decisions — is byte-identical to [`Runner::run_on`] for
-    /// *any* worker count, including 1. Speculatively computed kernels
-    /// are only consumed when their quality class matches the
-    /// controller's actual decision and all their data inputs were valid;
-    /// everything else is re-executed in schedule order (see
-    /// [`crate::runtime::parallel`]). On a wall clock the speedup is
-    /// real: the pixel math has already run concurrently, so the commit
-    /// loop is a cheap replay.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller protocol errors, and
-    /// [`SimError::InvalidConfig`] if the app declares inconsistent data
-    /// dependencies.
-    pub fn run_parallel_on(
-        &mut self,
-        clock: &mut dyn Clock,
-        backend: &mut dyn ExecBackend,
-        mode: Mode,
-        policy: &mut dyn QualityPolicy,
-        estimator: Option<&mut dyn AvgEstimator>,
-        workers: usize,
-    ) -> Result<StreamResult, SimError> {
-        let pool = WorkStealingPool::new(workers);
-        self.run_parallel_with(clock, backend, mode, policy, estimator, &pool)
-    }
-
-    /// [`Runner::run_parallel_on`] against a caller-owned pool: the
-    /// resident workers are reused across frames (and across runs, when
-    /// the caller keeps the pool alive) instead of being spawned per run.
-    /// The determinism contract is identical — the pool only executes
-    /// phase-1 kernels, never anything a quality decision depends on.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runner::run_parallel_on`].
-    pub fn run_parallel_with(
-        &mut self,
-        clock: &mut dyn Clock,
-        backend: &mut dyn ExecBackend,
-        mode: Mode,
-        policy: &mut dyn QualityPolicy,
-        mut estimator: Option<&mut dyn AvgEstimator>,
-        pool: &WorkStealingPool,
-    ) -> Result<StreamResult, SimError> {
-        // The whole-stream driver is a thin loop over the frame-stepping
-        // seam (see [`stepper`]): the multi-stream server drives the same
-        // steps, so "served" and "alone" are the same computation.
-        let mut st = self.start_parallel(mode)?;
-        while self.next_parallel_frame(&mut st, clock, policy, &mut estimator)? {
-            // Phase 1: speculative wavefront execution. Kernels run as
-            // their data dependencies complete, at last frame's quality.
-            let view = self.parallel_kernels(&st).expect("frame just prepared");
-            pool.run_dag(view.indegree(), view.succs(), |i| view.run_kernel(i));
-            // Phase 2: sequential commit in static EDF order — identical
-            // state transitions to the sequential runner.
-            self.commit_parallel_frame(&mut st, clock, backend, policy, &mut estimator)?;
-        }
-        Ok(self.finish_parallel(st, policy.name()))
-    }
-}
-
-/// The per-frame controller loop shared by the sequential and parallel
-/// runners: decide → obtain work → charge the backend → complete, until
-/// the cycle is finished. `work_of` is the only difference between the
-/// two paths (direct execution vs. speculation cache).
-#[allow(clippy::too_many_arguments)]
-fn drive_cycle<A: VideoApp>(
-    app: &mut A,
-    iter: &IteratedGraph,
-    ctl: &mut CycleController,
-    clock: &mut dyn Clock,
-    backend: &mut dyn ExecBackend,
-    policy: &mut dyn QualityPolicy,
-    estimator: &mut Option<&mut dyn AvgEstimator>,
-    gen_profile: &QualityProfile,
-    body_profile: &QualityProfile,
-    activity: f64,
-    frame_start: Cycles,
-    work_of: &mut dyn FnMut(&mut A, &Decision, ActionId, usize) -> Option<u64>,
-) -> Result<Cycles, SimError> {
-    let mut t = Cycles::ZERO;
-    loop {
-        let decision = ctl.decide(t, policy).map_err(SimError::from)?;
-        let Some(d) = decision else { break };
-        let (body_action, mb) = iter.body_of(d.action);
-        let started = frame_start + t;
-        let work = work_of(app, &d, body_action, mb);
-        let ctx = ExecCtx {
-            action: body_action,
-            iteration: mb,
-            quality: d.quality,
-            avg: gen_profile.avg(body_action, d.quality),
-            // Clamp bound stays the *declared* worst case: the
-            // safety theorem needs actual <= Cwc_θ as declared.
-            worst: body_profile.worst(body_action, d.quality),
-            activity,
-            work_units: work,
-        };
-        let dur = backend.elapse(clock, started, &ctx);
-        t += dur;
-        ctl.complete(t).map_err(SimError::from)?;
-        if let Some(est) = estimator.as_deref_mut() {
-            est.observe(body_action, d.quality, dur);
-        }
-    }
-    Ok(t)
-}
-
 /// Whether the encoder is the controlled build or an uncontrolled
 /// constant-quality build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1355,6 +1249,106 @@ mod tests {
             // misses.
             assert_eq!(par.speculation().1, 0);
         }
+    }
+
+    /// A [`TableApp`] with quality-sensitive kernel classes (so parallel
+    /// runs mis-speculate) that counts its `snapshot` calls.
+    struct CountingApp {
+        inner: TableApp,
+        snapshots: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingApp {
+        fn new(inner: TableApp) -> Self {
+            CountingApp {
+                inner,
+                snapshots: std::sync::atomic::AtomicUsize::new(0),
+            }
+        }
+
+        fn snapshots(&self) -> usize {
+            self.snapshots.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl ParallelApp for CountingApp {
+        fn body(&self) -> &fgqos_graph::PrecedenceGraph {
+            self.inner.body()
+        }
+        fn iterations(&self) -> usize {
+            self.inner.iterations()
+        }
+        fn profile(&self) -> &QualityProfile {
+            self.inner.profile()
+        }
+        fn activity(&self, frame: usize) -> f64 {
+            self.inner.activity(frame)
+        }
+        fn is_iframe(&self, frame: usize) -> bool {
+            self.inner.is_iframe(frame)
+        }
+        fn begin_frame(&mut self, frame: usize) {
+            self.inner.begin_frame(frame);
+        }
+        fn run_action(&mut self, a: ActionId, mb: usize, q: Quality) -> Option<u64> {
+            self.inner.run_action(a, mb, q)
+        }
+        fn encoded_psnr(&mut self, frame: usize, q: f64, report: &fgqos_core::CycleReport) -> f64 {
+            self.inner.encoded_psnr(frame, q, report)
+        }
+        fn skipped_psnr(&mut self, frame: usize) -> f64 {
+            self.inner.skipped_psnr(frame)
+        }
+        fn stream_len(&self) -> usize {
+            self.inner.stream_len()
+        }
+        type Snapshot = ();
+        fn snapshot(&self, _mb: usize) {
+            self.snapshots
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        fn kernel_class(&self, _a: ActionId, _mb: usize, q: Quality) -> u64 {
+            u64::from(q.level())
+        }
+        fn kernel(&self, a: ActionId, mb: usize, q: Quality) -> Option<u64> {
+            self.inner.kernel(a, mb, q)
+        }
+        fn apply(&mut self, a: ActionId, mb: usize) {
+            self.inner.apply(a, mb);
+        }
+    }
+
+    #[test]
+    fn sequential_runs_take_no_snapshots_and_count_no_speculation() {
+        let config = RunConfig::paper_defaults().scaled_to_macroblocks(10);
+        let app = || {
+            let scenario = LoadScenario::paper_benchmark(5).truncated(30);
+            CountingApp::new(TableApp::with_macroblocks(scenario, 10).unwrap())
+        };
+        let mut seq = Runner::new(app(), config).unwrap();
+        let expected = small_runner(30, 10, 1)
+            .run_controlled(&mut MaxQuality::new(), 19)
+            .unwrap();
+        let res = seq.run_controlled(&mut MaxQuality::new(), 19).unwrap();
+        assert_eq!(res.frames(), expected.frames());
+        // The sequential path is the frame loop without phase 1: every
+        // action runs in place, with no re-validation snapshots and no
+        // speculation bookkeeping.
+        assert_eq!(seq.app().snapshots(), 0);
+        assert_eq!(seq.speculation(), (0, 0));
+
+        // The sequential run left its committed qualities as the
+        // speculation seed; a parallel run from there must still match a
+        // fresh runner over the same app state, byte for byte.
+        let mut fresh = Runner::new(CountingApp::new(seq.app().inner.clone()), config).unwrap();
+        let after_seq = seq.run_parallel(&mut MaxQuality::new(), 23, 2).unwrap();
+        let alone = fresh.run_parallel(&mut MaxQuality::new(), 23, 2).unwrap();
+        assert_eq!(after_seq.frames(), alone.frames());
+        // The counter works: quality-sensitive classes mis-speculate in
+        // parallel runs, and every miss re-validates with snapshots.
+        let (hits, misses) = fresh.speculation();
+        assert!(misses > 0, "hits {hits}, misses {misses}");
+        assert_eq!(fresh.app().snapshots() as u64, 2 * misses);
     }
 
     #[test]

@@ -1,29 +1,31 @@
-//! Frame-by-frame stepping of a parallel run — the seam the multi-stream
-//! serving layer multiplexes on.
+//! Frame-by-frame stepping of a run — the runner's one frame loop, and
+//! the seam the multi-stream serving layer multiplexes on.
 //!
-//! [`Runner::run_parallel_on`] executes a whole stream in one call: for
-//! every frame it runs the speculative kernel wavefront on a pool
-//! (phase 1), then replays the controller loop sequentially (phase 2).
-//! A stream *server* needs to interleave many such runs over one shared
-//! pool, which requires splitting the per-frame loop into externally
-//! driven steps:
+//! Every run executes frames through these steps. A stream *server*
+//! interleaves many runs over one shared pool, which requires the
+//! per-frame loop to be externally driven:
 //!
 //! 1. [`Runner::start_parallel`] — open a [`ParallelStream`]: the
 //!    portable state of one in-flight run (pipeline, records, speculation
-//!    seed);
+//!    seed, per-instance slot buffers);
 //! 2. [`Runner::next_parallel_frame`] — advance to the next encodable
 //!    frame and prepare its controller: after this, the frame's kernels
 //!    are exposed as a [`Phase1View`];
-//! 3. [`Runner::parallel_kernels`] — an immutable, [`Sync`] view of the
-//!    pending frame's kernel DAG. The caller executes the tasks on any
-//!    executor it likes — a dedicated pool, or a [`super::WorkStealingPool`]
-//!    shared with *other streams' frames* (the server merges several
-//!    views into one task graph);
-//! 4. [`Runner::commit_parallel_frame`] — the sequential phase-2 commit:
-//!    identical state transitions to the solo runner, consuming cached
-//!    kernels only when valid;
+//! 3. [`Runner::parallel_kernels`] — *phase 1, optional*: an immutable,
+//!    [`Sync`] view of the pending frame's kernel DAG. The caller
+//!    executes the tasks on any executor it likes — a dedicated pool, or
+//!    a [`super::WorkStealingPool`] shared with *other streams' frames*
+//!    (the server merges several views into one task graph);
+//! 4. [`Runner::commit_parallel_frame`] — phase 2, the sequential
+//!    commit: consumes cached kernels only when valid and runs every
+//!    other action in place;
 //! 5. [`Runner::finish_parallel`] — close the stream and collect its
 //!    [`StreamResult`].
+//!
+//! A sequential run ([`Runner::run_on`]) is this loop with step 3
+//! skipped: it never builds the kernel DAG, and the commit executes each
+//! action directly, without snapshots or speculation counts.
+//! [`Runner::run_parallel_on`] runs step 3 on a pool of its own.
 //!
 //! # Isolation
 //!
@@ -33,14 +35,13 @@
 //! phase-1 kernels. A stream stepped through this API on a
 //! [`VirtualClock`] + [`crate::runtime::ModelBackend`] therefore produces
 //! the same bytes no matter how many other streams share the pool, which
-//! is the serving layer's isolation contract.
-//! [`Runner::run_parallel_on`] itself is implemented over these steps, so
-//! "byte-identical to running alone" is equality by construction, not by
-//! test alone.
+//! is the serving layer's isolation contract. Solo runs, sequential and
+//! parallel, are implemented over these steps, so "byte-identical to
+//! running alone" is equality by construction, not by test alone.
 //!
 //! [`VirtualClock`]: crate::runtime::VirtualClock
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use fgqos_core::estimator::AvgEstimator;
 use fgqos_core::policy::QualityPolicy;
@@ -48,15 +49,17 @@ use fgqos_core::CycleController;
 use fgqos_graph::ActionId;
 use fgqos_time::{Cycles, Quality, QualityProfile, QualitySet};
 
-use super::{drive_cycle, FrameRecord, Mode, Runner, StreamResult};
+use super::{FrameRecord, Mode, Runner, StreamResult};
+use crate::app::ParallelApp;
 use crate::budget::BudgetSource;
+use crate::exec::ExecCtx;
 use crate::pipeline::InputPipeline;
 use crate::runtime::parallel::{FramePlan, SpecSlot};
-use crate::runtime::{Clock, ExecBackend, ParallelApp};
+use crate::runtime::{Clock, ExecBackend};
 use crate::SimError;
 
-/// The portable state of one in-flight parallel run, stepped frame by
-/// frame by its [`Runner`]. Create with [`Runner::start_parallel`].
+/// The portable state of one in-flight run, stepped frame by frame by
+/// its [`Runner`]. Create with [`Runner::start_parallel`].
 ///
 /// The struct is intentionally runner-agnostic (no generic parameter):
 /// a server holds one per stream next to the stream's runner, clock and
@@ -71,10 +74,16 @@ pub struct ParallelStream {
     body_profile: QualityProfile,
     /// Generative profile (drives execution-time models).
     gen_profile: QualityProfile,
-    plan: Arc<FramePlan>,
     /// Speculation seed: the quality committed at each unrolled instance
     /// during the most recent frame.
     spec_q: Vec<Quality>,
+    /// Phase-1 results of the pending frame, one per unrolled instance;
+    /// allocated once per run and reset per frame. Empty for a
+    /// sequential run.
+    slots: Vec<OnceLock<SpecSlot>>,
+    /// Whether each instance's committed state matches what phase 1
+    /// read (the taint flags of the pending frame's commit).
+    valid: Vec<bool>,
     /// Live per-frame budget source (see [`crate::budget`]); owned by
     /// the stream so served and solo runs replay the same channel.
     source: BudgetSource,
@@ -93,7 +102,6 @@ struct PendingFrame {
     budget: Cycles,
     ctl: CycleController,
     activity: f64,
-    slots: Vec<OnceLock<SpecSlot>>,
 }
 
 impl ParallelStream {
@@ -221,7 +229,7 @@ impl<A: ParallelApp> Phase1View<'_, A> {
 }
 
 impl<A: ParallelApp> Runner<A> {
-    /// Opens a steppable parallel run over this runner's stream.
+    /// Opens a steppable run over this runner's stream.
     ///
     /// The caller then alternates [`Runner::next_parallel_frame`] /
     /// phase-1 execution via [`Runner::parallel_kernels`] /
@@ -235,17 +243,23 @@ impl<A: ParallelApp> Runner<A> {
     /// errors.
     pub fn start_parallel(&mut self, mode: Mode) -> Result<ParallelStream, SimError> {
         if self.parallel_plan.is_none() {
-            self.parallel_plan = Some(Arc::new(FramePlan::build(
-                &self.app,
-                &self.iter,
-                &self.order_pos,
-            )?));
+            self.parallel_plan = Some(FramePlan::build(&self.app, &self.iter, &self.order_pos)?);
         }
-        let plan = Arc::clone(self.parallel_plan.as_ref().expect("plan just built"));
+        let mut st = self.start_stream(mode)?;
+        let n_inst = st.spec_q.len();
+        st.slots = (0..n_inst).map(|_| OnceLock::new()).collect();
+        st.valid = vec![false; n_inst];
+        Ok(st)
+    }
+
+    /// [`Runner::start_parallel`] without phase 1 — no kernel DAG, no slot
+    /// buffers: how [`Runner::run_on`] opens a sequential run, which never
+    /// exposes its kernels.
+    pub(super) fn start_stream(&mut self, mode: Mode) -> Result<ParallelStream, SimError> {
         let n_inst = self.iter.graph().len();
         let qs = self.app.profile().qualities().clone();
         // Speculation seed: the level committed at the same instance one
-        // frame earlier; before any parallel frame, the maximal level
+        // frame earlier; before any frame, the maximal level
         // (mis-speculation only costs a re-execution, never correctness).
         let spec_q = self
             .last_spec
@@ -261,8 +275,9 @@ impl<A: ParallelApp> Runner<A> {
             records: vec![None; total],
             body_profile: self.app.profile().clone(),
             gen_profile: self.app.generative_profile().clone(),
-            plan,
             spec_q,
+            slots: Vec::new(),
+            valid: Vec::new(),
             source: self.make_budget_source(),
             prev_budget: None,
             hits: 0,
@@ -301,8 +316,9 @@ impl<A: ParallelApp> Runner<A> {
             None => Cycles::INFINITY,
         };
         // The stream's budget source can only tighten the deadline (min
-        // semantics) — same seam as the sequential runner, so served and
-        // solo runs stay byte-identical.
+        // semantics); the record keeps the sourced budget in both modes,
+        // so uncontrolled baselines expose how often they would have
+        // overrun the channel.
         let budget = st.source.frame_budget(frame, deadline_budget);
         self.observe_budget(budget, &mut st.prev_budget);
         // Uncontrolled runs do not see deadlines at all.
@@ -316,7 +332,10 @@ impl<A: ParallelApp> Runner<A> {
         self.app.begin_frame(frame);
         policy.on_cycle_start();
         let activity = self.app.activity(frame);
-        let n_inst = self.iter.graph().len();
+        for slot in &mut st.slots {
+            slot.take();
+        }
+        st.valid.fill(false);
         st.pending = Some(PendingFrame {
             frame,
             arrival,
@@ -324,32 +343,38 @@ impl<A: ParallelApp> Runner<A> {
             budget,
             ctl,
             activity,
-            slots: (0..n_inst).map(|_| OnceLock::new()).collect(),
         });
         Ok(true)
     }
 
     /// The pending frame's kernel DAG, ready for an external executor.
-    /// `None` when no frame is pending.
+    /// `None` when no frame is pending, or when the stream was not opened
+    /// with [`Runner::start_parallel`] (a sequential run).
     #[must_use]
     pub fn parallel_kernels<'s>(&'s self, st: &'s ParallelStream) -> Option<Phase1View<'s, A>> {
-        st.pending.as_ref().map(|p| Phase1View {
+        let plan = self
+            .parallel_plan
+            .as_ref()
+            .filter(|_| !st.slots.is_empty())?;
+        st.pending.as_ref().map(|_| Phase1View {
             app: &self.app,
             iter: &self.iter,
-            plan: &st.plan,
+            plan,
             spec: &st.spec_q,
-            slots: &p.slots,
+            slots: &st.slots,
         })
     }
 
     /// Commits the pending frame: replays the controller loop in static
-    /// EDF order (phase 2), consuming speculated kernels when their
-    /// quality class matches and their inputs were valid, re-executing
-    /// otherwise — the same state transitions as the sequential runner.
+    /// EDF order (phase 2) — decide, obtain the action's work, charge the
+    /// backend, complete — until the cycle is finished.
     ///
-    /// Kernels that phase 1 has not executed are simply re-executed here,
-    /// so a caller may legally skip phase 1 altogether (it then pays the
-    /// sequential cost).
+    /// A kernel phase 1 executed is consumed when its quality class
+    /// matches the decision and its inputs were valid, and re-executed
+    /// otherwise (a speculation hit or miss). A kernel phase 1 did not
+    /// execute is simply run in place, without snapshots and without
+    /// counting a hit or a miss — so a caller may skip phase 1 altogether
+    /// and pay exactly the sequential cost.
     ///
     /// # Errors
     ///
@@ -367,55 +392,58 @@ impl<A: ParallelApp> Runner<A> {
             .pending
             .take()
             .ok_or(SimError::InvalidConfig("no pending frame to commit"))?;
-        let n_inst = self.iter.graph().len();
-        let mut valid = vec![false; n_inst];
-        let spec_q = &mut st.spec_q;
-        let plan = &st.plan;
-        let slots = &p.slots;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let t = drive_cycle(
-            &mut self.app,
-            &self.iter,
-            &mut p.ctl,
-            clock,
-            backend,
-            policy,
-            estimator,
-            &st.gen_profile,
-            &st.body_profile,
-            p.activity,
-            p.now,
-            &mut |app, d, body_action, mb| {
-                let i = d.action.index();
-                spec_q[i] = d.quality;
-                let cached = slots[i].get();
-                let cache_ok = cached.is_some_and(|slot| {
-                    plan.taint_preds[i].iter().all(|&pr| valid[pr])
-                        && app.kernel_class(body_action, mb, d.quality) == slot.class
-                });
-                if cache_ok {
-                    valid[i] = true;
-                    hits += 1;
+        let app = &mut self.app;
+        // A filled slot implies the plan: only a `Phase1View` fills slots.
+        let plan = self.parallel_plan.as_ref();
+        let mut t = Cycles::ZERO;
+        while let Some(d) = p.ctl.decide(t, policy).map_err(SimError::from)? {
+            let i = d.action.index();
+            let (body_action, mb) = self.iter.body_of(d.action);
+            st.spec_q[i] = d.quality;
+            let work = match st.slots.get(i).and_then(OnceLock::get) {
+                None => app.run_action(body_action, mb, d.quality),
+                Some(slot)
+                    if plan
+                        .is_some_and(|dag| dag.taint_preds[i].iter().all(|&pr| st.valid[pr]))
+                        && app.kernel_class(body_action, mb, d.quality) == slot.class =>
+                {
+                    st.valid[i] = true;
+                    st.hits += 1;
                     app.apply(body_action, mb);
-                    slots[i].get().expect("checked above").work
-                } else {
+                    slot.work
+                }
+                Some(_) => {
                     // Re-execute, then re-validate: if the rerun
-                    // reproduced exactly the state the speculative
-                    // phase left (a smaller search radius finding
-                    // the same motion vector, say), every phase-1
-                    // reader of this instance saw correct inputs
-                    // and the mis-speculation cascade stops here.
-                    misses += 1;
+                    // reproduced exactly the state the speculative phase
+                    // left (a smaller search radius finding the same
+                    // motion vector, say), every phase-1 reader of this
+                    // instance saw correct inputs and the mis-speculation
+                    // cascade stops here.
+                    st.misses += 1;
                     let before = app.snapshot(mb);
                     let work = app.run_action(body_action, mb, d.quality);
-                    valid[i] = app.snapshot(mb) == before;
+                    st.valid[i] = app.snapshot(mb) == before;
                     work
                 }
-            },
-        )?;
-        st.hits += hits;
-        st.misses += misses;
+            };
+            let ctx = ExecCtx {
+                action: body_action,
+                iteration: mb,
+                quality: d.quality,
+                avg: st.gen_profile.avg(body_action, d.quality),
+                // Clamp bound stays the *declared* worst case: the
+                // safety theorem needs actual <= Cwc_θ as declared.
+                worst: st.body_profile.worst(body_action, d.quality),
+                activity: p.activity,
+                work_units: work,
+            };
+            let dur = backend.elapse(clock, p.now + t, &ctx);
+            t += dur;
+            p.ctl.complete(t).map_err(SimError::from)?;
+            if let Some(est) = estimator.as_deref_mut() {
+                est.observe(body_action, d.quality, dur);
+            }
+        }
         st.records[p.frame] = Some(self.finish_frame(
             p.ctl,
             &st.body_profile,
@@ -450,14 +478,7 @@ impl<A: ParallelApp> Runner<A> {
         mut st: ParallelStream,
         policy_name: &str,
     ) -> StreamResult {
-        let delivered = st.delivered_frames();
-        st.records.truncate(delivered);
-        st.pending = None;
-        self.last_spec = Some(st.spec_q);
-        self.spec_hits += st.hits;
-        self.spec_misses += st.misses;
-        self.metrics.spec_hits.add(st.hits);
-        self.metrics.spec_misses.add(st.misses);
-        self.collect_result(policy_name, st.records)
+        st.records.truncate(st.delivered_frames());
+        self.finish_parallel(st, policy_name)
     }
 }

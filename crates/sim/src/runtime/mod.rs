@@ -13,17 +13,19 @@
 //!   [`crate::exec::ExecTimeModel`] (simulation), [`MeasuredBackend`]
 //!   charges observed wall time (live runs);
 //! * [`parallel`] — the deterministic parallel frame executor: the
-//!   [`ParallelApp`] kernel/apply contract and the speculative wavefront
-//!   machinery behind [`crate::runner::Runner::run_parallel_on`], driven
-//!   by the hand-rolled [`WorkStealingPool`] — an owner of *resident*
-//!   worker threads that park between jobs, so repeated per-frame DAG
-//!   submissions (a serving session's tick loop) pay thread creation
-//!   once, not per frame.
+//!   speculative wavefront machinery over the [`ParallelApp`]
+//!   kernel/apply contract (re-exported here from [`crate::app`]) behind
+//!   [`crate::runner::Runner::run_parallel_on`], driven by the
+//!   hand-rolled [`WorkStealingPool`] — the one pool, an owner of
+//!   *resident* worker threads that park between jobs, so repeated
+//!   per-frame DAG submissions (a serving session's tick loop) pay thread
+//!   creation once, not per frame.
 //!
 //! [`crate::runner::Runner::run_on`] accepts any (clock, backend) pair;
 //! the legacy [`crate::runner::Runner::run`] is the virtual-clock,
 //! model-backend special case and reproduces the pre-refactor series
-//! byte-for-byte.
+//! byte-for-byte. Sequential and parallel runs step the same frame loop
+//! ([`crate::runner::stepper`]); a sequential run skips the pool.
 //!
 //! # Example: the same app on both runtimes
 //!
@@ -61,7 +63,7 @@ mod clock;
 pub mod parallel;
 mod pool;
 
+pub use crate::app::ParallelApp;
 pub use backend::{ExecBackend, MeasuredBackend, ModelBackend};
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use parallel::ParallelApp;
 pub use pool::WorkStealingPool;

@@ -166,8 +166,9 @@ impl LoadScenario {
     ///
     /// # Errors
     ///
-    /// [`SimError::Parse`] if `frames` is empty, a frame's activity is
-    /// not positive, or scene numbering is not contiguous from zero.
+    /// [`SimError::Parse`] if `frames` is empty, a frame's activity,
+    /// motion, texture or PSNR base is not finite, its activity is not
+    /// positive, or scene numbering is not contiguous from zero.
     pub fn from_frames(frames: Vec<FrameInfo>) -> Result<Self, SimError> {
         if frames.is_empty() {
             return Err(SimError::Parse("scenario has no frames".to_owned()));
@@ -176,6 +177,18 @@ impl LoadScenario {
         let mut scenes: Vec<SceneProfile> = Vec::new();
         let mut index_in_scene = 0usize;
         for (f, info) in frames.into_iter().enumerate() {
+            for (name, v) in [
+                ("activity", info.activity),
+                ("motion", info.motion),
+                ("texture", info.texture),
+                ("psnr_base", info.psnr_base),
+            ] {
+                if !v.is_finite() {
+                    return Err(SimError::Parse(format!(
+                        "frame {f}: {name} must be finite, got {v}"
+                    )));
+                }
+            }
             if info.activity <= 0.0 {
                 return Err(SimError::Parse(format!(
                     "frame {f}: activity must be positive, got {}",
@@ -439,7 +452,8 @@ impl LoadScenario {
     /// # Errors
     ///
     /// [`SimError::Parse`] on malformed CSV, missing columns, empty
-    /// traces, or non-contiguous scene numbering.
+    /// traces, non-finite activity/motion/texture/PSNR-base cells,
+    /// non-positive activity, or non-contiguous scene numbering.
     ///
     /// # Example
     ///
@@ -492,7 +506,17 @@ impl LoadScenario {
                 )));
             }
             scenes_seen = scenes_seen.max(scene + 1);
-            let activity = doc.required(row, activity_c)?;
+            let finite = |col: usize, name: &str| {
+                let v = doc.required(row, col)?;
+                if v.is_finite() {
+                    Ok(v)
+                } else {
+                    Err(SimError::Parse(format!(
+                        "line {line}: {name} must be finite, got {v}"
+                    )))
+                }
+            };
+            let activity = finite(activity_c, "activity")?;
             if activity <= 0.0 {
                 return Err(SimError::Parse(format!(
                     "line {line}: activity must be positive, got {activity}"
@@ -514,9 +538,9 @@ impl LoadScenario {
                 index_in_scene: 0, // recomputed by from_frames
                 is_iframe: doc.required(row, iframe_c)? != 0.0,
                 activity,
-                motion: doc.required(row, motion_c)?,
-                texture: doc.required(row, texture_c)?,
-                psnr_base: doc.required(row, psnr_c)?,
+                motion: finite(motion_c, "motion")?,
+                texture: finite(texture_c, "texture")?,
+                psnr_base: finite(psnr_c, "psnr_base")?,
                 budget_cycles,
             });
         }
@@ -739,6 +763,29 @@ mod tests {
     }
 
     #[test]
+    fn trace_csv_rejects_non_finite_cells() {
+        let header = "scene,iframe,activity,motion,texture,psnr_base\n";
+        let good = ["1", "0.1", "0.1", "36"];
+        for (c, name) in ["activity", "motion", "texture", "psnr_base"]
+            .iter()
+            .enumerate()
+        {
+            for bad in ["inf", "-inf", "NaN"] {
+                let mut cells = good;
+                cells[c] = bad;
+                let csv = format!("{header}0,1,1,0.1,0.1,36\n0,0,{}\n", cells.join(","));
+                match LoadScenario::from_trace_csv(&csv) {
+                    Err(SimError::Parse(msg)) => assert!(
+                        msg.contains("line 3") && msg.contains(name),
+                        "{name}={bad}: {msg}"
+                    ),
+                    other => panic!("{name}={bad} must be rejected, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn budget_column_round_trips_exactly_and_stays_optional() {
         // A trace without budgets renders the historical 6-column CSV —
         // byte-identical to before the column existed.
@@ -859,6 +906,14 @@ mod tests {
         assert!(LoadScenario::from_frames(vec![f(1, 1.0)]).is_err());
         assert!(LoadScenario::from_frames(vec![f(0, 1.0), f(2, 1.0)]).is_err());
         assert!(LoadScenario::from_frames(vec![f(0, 0.0)]).is_err());
+        for bad in [f64::INFINITY, f64::NAN] {
+            assert!(LoadScenario::from_frames(vec![f(0, bad)]).is_err());
+            for field in 0..3 {
+                let mut info = f(0, 1.0);
+                *[&mut info.motion, &mut info.texture, &mut info.psnr_base][field] = bad;
+                assert!(LoadScenario::from_frames(vec![info]).is_err());
+            }
+        }
         // index_in_scene in the input is ignored and recomputed.
         let s = LoadScenario::from_frames(vec![f(0, 1.0), f(0, 1.1), f(1, 1.2)]).unwrap();
         assert_eq!(s.frame(1).index_in_scene, 1);

@@ -146,7 +146,7 @@ proptest! {
     }
 }
 
-use fgqos_sim::app::VideoApp;
+use fgqos_sim::app::ParallelApp;
 use fgqos_sim::budget::{BudgetSource, ChannelParams, ChannelSource};
 
 // The simulated channel: for any well-formed parameter set, the budget

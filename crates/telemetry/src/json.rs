@@ -268,15 +268,21 @@ impl JsonObj {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Documents the
+/// workspace writes (snapshots, Chrome traces) nest a handful of levels;
+/// the cap keeps hostile input from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document.
 ///
 /// # Errors
-/// Returns a message with a byte offset on malformed input or
-/// trailing garbage.
+/// Returns a message with a byte offset on malformed input, trailing
+/// garbage, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -290,6 +296,8 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -318,8 +326,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if b == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -523,6 +545,16 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("01x").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        // The cap itself is reachable, one level past it is not.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

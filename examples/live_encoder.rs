@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use fine_grain_qos::core::policy::MaxQuality;
 use fine_grain_qos::encoder::app::EncoderApp;
 use fine_grain_qos::encoder::timing;
-use fine_grain_qos::sim::app::VideoApp;
+use fine_grain_qos::sim::app::ParallelApp;
 use fine_grain_qos::sim::runner::{Mode, RunConfig, Runner};
 use fine_grain_qos::sim::runtime::{Clock, MeasuredBackend, WallClock};
 use fine_grain_qos::sim::scenario::LoadScenario;

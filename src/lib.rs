@@ -102,10 +102,10 @@ pub mod prelude {
         stochastic_backends, table_apps, AdmissionController, AdmissionDecision, Broadcast,
         CeilingPolicy, ChannelSource, ChurnAction, ChurnEvent, ChurnStorm, Delivery, EncodedFrame,
         FeedbackConfig, FrameProducer, FrameRing, FrameSource, LifecycleCounts, PacedSource,
-        PoolMode, PublishStats, RingConfig, ServeReport, ServerConfig, StreamOutcome, StreamServer,
+        PublishStats, RingConfig, ServeReport, ServerConfig, StreamOutcome, StreamServer,
         StreamSession, StreamSpec, StreamSpecBuilder, Subscriber, TablesMode, TraceSource,
     };
-    pub use fgqos_sim::app::{TableApp, VideoApp};
+    pub use fgqos_sim::app::TableApp;
     pub use fgqos_sim::budget::{BudgetSpec, ChannelParams};
     pub use fgqos_sim::runner::{
         DeadlineShape, Mode, ParallelStream, RunConfig, Runner, StreamResult,

@@ -39,7 +39,7 @@ fn assert_same_series(expected: &StreamResult, actual: &StreamResult, what: &str
     assert_eq!(expected.period(), actual.period());
 }
 
-fn assert_same_monitor<A: VideoApp, B: VideoApp>(seq: &Runner<A>, par: &Runner<B>) {
+fn assert_same_monitor<A: ParallelApp, B: ParallelApp>(seq: &Runner<A>, par: &Runner<B>) {
     let (m1, m2) = (seq.monitor(), par.monitor());
     assert_eq!(m1.cycles(), m2.cycles());
     assert_eq!(m1.actions(), m2.actions());

@@ -84,7 +84,7 @@ fn final_only_deadlines_run_a_full_stream_end_to_end() {
 fn final_only_deadlines_hold_for_the_pixel_encoder() {
     let scenario = LoadScenario::paper_benchmark(3).truncated(10);
     let app = EncoderApp::new(scenario, 48, 32, 5).unwrap();
-    let n = fine_grain_qos::sim::app::VideoApp::iterations(&app);
+    let n = fine_grain_qos::sim::app::ParallelApp::iterations(&app);
     let config = RunConfig::paper_defaults()
         .scaled_to_macroblocks(n)
         .with_deadline_shape(DeadlineShape::FinalOnly);
@@ -114,7 +114,7 @@ fn wall_clock_pixel_run_completes_without_skips() {
     // (they would need a full period of stall).
     let scenario = LoadScenario::paper_benchmark(3).truncated(4);
     let app = EncoderApp::new(scenario, 48, 32, 7).unwrap();
-    let n = fine_grain_qos::sim::app::VideoApp::iterations(&app);
+    let n = fine_grain_qos::sim::app::ParallelApp::iterations(&app);
     let config = RunConfig::paper_defaults().scaled_to_macroblocks(n);
     let rate = timing::wall_rate(n, Duration::from_millis(40));
     let mut runner = Runner::new(app, config).unwrap();
